@@ -1,7 +1,8 @@
 // Calibration utility (not a paper artifact): runs scaled-down Chiba
 // configurations and prints simulated execution times, so the workload
 // definitions can be tuned against the paper's Table 2.  Host wall time per
-// run shows up on stderr via the runner's per-trial progress lines.
+// run shows up on stderr via the runner's per-trial progress lines (run
+// alone; inside a matrix pass with table2 its runs come from the run memo).
 #include <algorithm>
 #include <vector>
 
@@ -24,10 +25,10 @@ std::vector<TrialSpec> calibrate_trials(const ScenarioParams& p) {
     cfg.scale = p.scale;
     cfg.seed = p.seed(cfg.seed);
     trials.push_back({config_name(config), [cfg] {
-                        const auto result = run_chiba(cfg);
+                        const auto result = shared_run(cfg);
                         double vol_med = 0, invol_med = 0, irq_max = 0;
                         std::vector<double> vols, invols;
-                        for (const auto& rs : result.ranks) {
+                        for (const auto& rs : result->ranks) {
                           vols.push_back(rs.vol_sched_sec);
                           invols.push_back(rs.invol_sched_sec);
                           irq_max = std::max(irq_max, rs.irq_sec);
@@ -36,8 +37,8 @@ std::vector<TrialSpec> calibrate_trials(const ScenarioParams& p) {
                         std::sort(invols.begin(), invols.end());
                         vol_med = vols[vols.size() / 2];
                         invol_med = invols[invols.size() / 2];
-                        return trial_result(result.exec_sec,
-                                            {{"exec_sec", result.exec_sec},
+                        return trial_result(result->exec_sec,
+                                            {{"exec_sec", result->exec_sec},
                                              {"vol_med", vol_med},
                                              {"invol_med", invol_med},
                                              {"irq_max", irq_max}});

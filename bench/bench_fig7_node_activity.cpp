@@ -24,9 +24,8 @@ std::vector<TrialSpec> fig7_trials(const ScenarioParams& p) {
   cfg.scale = p.scale;
   cfg.seed = p.seed(cfg.seed);
   return {{"anomaly_lu", [cfg] {
-             auto run = run_chiba(cfg);
-             return trial_result(std::move(run),
-                                 {{"exec_sec", run.exec_sec}});
+             auto run = shared_run(cfg);
+             return trial_result(run, {{"exec_sec", run->exec_sec}});
            }}};
 }
 

@@ -32,9 +32,9 @@ std::vector<TrialSpec> fig8_trials(const ScenarioParams& p) {
     cfg.scale = p.scale;
     cfg.seed = p.seed(cfg.seed);
     trials.push_back({name, [cfg] {
-                        auto run = run_chiba(cfg);
-                        return trial_result(std::move(run),
-                                            {{"exec_sec", run.exec_sec}});
+                        auto run = shared_run(cfg);
+                        return trial_result(run,
+                                            {{"exec_sec", run->exec_sec}});
                       }});
   }
   return trials;

@@ -162,7 +162,7 @@ KtlFile read_ktl(const std::string& text) {
   std::string line;
   KtlFile out;
   if (!std::getline(is, line) || line != "#KTL v1") {
-    throw std::runtime_error("KTL: bad header");
+    throw KtlError("KTL: bad header");
   }
   while (std::getline(is, line)) {
     if (line.empty()) continue;
@@ -171,11 +171,11 @@ KtlFile read_ktl(const std::string& text) {
       std::string tag;
       ls >> tag;
       if (tag == "#freq") {
-        if (!(ls >> out.freq)) throw std::runtime_error("KTL: bad #freq");
+        if (!(ls >> out.freq)) throw KtlError("KTL: bad #freq");
       } else if (tag == "#stream") {
         std::uint32_t id = 0;
         std::string name;
-        if (!(ls >> id)) throw std::runtime_error("KTL: bad #stream");
+        if (!(ls >> id)) throw KtlError("KTL: bad #stream");
         std::getline(ls, name);
         if (!name.empty() && name.front() == ' ') name.erase(0, 1);
         out.streams.emplace_back(id, std::move(name));
@@ -188,23 +188,23 @@ KtlFile read_ktl(const std::string& text) {
     if (kind == "E" || kind == "L") {
       std::string side;
       if (!(ls >> e.timestamp >> e.stream >> side >> e.name)) {
-        throw std::runtime_error("KTL: bad event row: " + line);
+        throw KtlError("KTL: bad event row: " + line);
       }
       e.is_kernel = side == "K";
       e.kind = kind == "E" ? KtlEvent::Kind::Enter : KtlEvent::Kind::Leave;
     } else if (kind == "V") {
       if (!(ls >> e.timestamp >> e.stream >> e.name >> e.value)) {
-        throw std::runtime_error("KTL: bad value row: " + line);
+        throw KtlError("KTL: bad value row: " + line);
       }
       e.kind = KtlEvent::Kind::Value;
     } else if (kind == "G") {
       if (!(ls >> e.timestamp >> e.stream >> e.dropped >> e.first_seq)) {
-        throw std::runtime_error("KTL: bad gap row: " + line);
+        throw KtlError("KTL: bad gap row: " + line);
       }
       e.is_kernel = true;
       e.kind = KtlEvent::Kind::Gap;
     } else {
-      throw std::runtime_error("KTL: unknown record kind: " + line);
+      throw KtlError("KTL: unknown record kind: " + line);
     }
     out.events.push_back(std::move(e));
   }

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -77,7 +78,13 @@ struct KtlFile {
   std::vector<KtlEvent> events;
 };
 
-/// Parses a KTL document.  Throws std::runtime_error on malformed input.
+/// Malformed KTL input.
+class KtlError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// Parses a KTL document.  Throws KtlError on malformed input.
 KtlFile read_ktl(const std::string& text);
 
 }  // namespace ktau::analysis

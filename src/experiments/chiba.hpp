@@ -112,6 +112,8 @@ struct ChibaRunConfig {
   /// extra events, RNG draws, or cycles anywhere).  Network faults apply
   /// cluster-wide; storms, steals, and the slowdown hit `faults.victims`.
   sim::FaultConfig faults;
+
+  bool operator==(const ChibaRunConfig&) const = default;
 };
 
 /// Per-rank merged statistics extracted after a run.

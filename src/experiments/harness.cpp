@@ -165,7 +165,9 @@ void Report::printf(const char* fmt, ...) {
   va_copy(copy, args);
   const int len = std::vsnprintf(nullptr, 0, fmt, copy);
   va_end(copy);
-  if (len >= 0) {
+  // An empty line writes nothing.  Skipping it also keeps GCC 12 at -O3
+  // from assuming a 1-byte buffer (a false -Wformat-truncation).
+  if (len > 0) {
     std::string buf(static_cast<std::size_t>(len) + 1, '\0');
     std::vsnprintf(buf.data(), buf.size(), fmt, args);
     buf.resize(static_cast<std::size_t>(len));
@@ -391,9 +393,13 @@ int run_matrix(const MatrixOptions& opt, std::ostream& out,
     }
   }
 
+  // Run once, view many: every trial of this call shares one memo of
+  // Chiba runs (shared_run), freed when the call returns.
+  RunMemo memo;
   std::atomic<std::size_t> next{0};
   std::mutex info_mutex;
   auto worker = [&] {
+    const RunMemoScope bind(&memo);
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= tasks.size()) return;
@@ -427,6 +433,9 @@ int run_matrix(const MatrixOptions& opt, std::ostream& out,
     for (int j = 0; j < jobs; ++j) pool.emplace_back(worker);
     for (auto& th : pool) th.join();
   }
+  const RunMemo::Stats memo_stats = memo.stats();
+  info << "[run memo: " << memo_stats.simulated << " simulated, "
+       << memo_stats.reused << " reused]\n";
 
   // ---- report sequentially in canonical order -----------------------------
   int failures = 0;

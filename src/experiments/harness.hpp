@@ -10,12 +10,19 @@
 //
 // Determinism under parallelism (DESIGN.md §9):
 //   - trial closures are pure with respect to shared state — each builds its
-//     own Cluster/Engine/Rng instance tree and touches nothing global;
+//     own Cluster/Engine/Rng instance tree and touches nothing global — with
+//     one sanctioned exception: the run memo.  Each run_matrix call owns a
+//     RunMemo (run_memo.hpp) for exactly its duration; view scenarios fetch
+//     Chiba runs through shared_run, so each distinct ChibaRunConfig is
+//     simulated once per call and every view reads the same immutable
+//     result.  That is sound because a run is a pure function of its key;
+//     gates that must simulate twice call run_chiba directly;
 //   - workers only *execute* trials; results commit into a slot vector
 //     indexed by canonical trial order, and all rendering/gating/JSON runs
 //     sequentially afterwards in that order;
-//   - nothing host-dependent (wall clock, thread ids, job count) is allowed
-//     into stdout or the JSON document; host timings go to stderr.
+//   - nothing host-dependent (wall clock, thread ids, job count, memo
+//     hit counts) is allowed into stdout or the JSON document; host timings
+//     and the `[run memo: ...]` line go to stderr.
 // Hence `--jobs 8` output is byte-identical to `--jobs 1`.
 #pragma once
 
@@ -31,6 +38,7 @@
 #include <vector>
 
 #include "experiments/chiba.hpp"
+#include "experiments/run_memo.hpp"
 #include "sim/stats.hpp"
 
 namespace ktau::expt {
@@ -84,6 +92,18 @@ TrialResult trial_result(T payload,
   return r;
 }
 
+/// Shares an already-shared payload (a shared_run result) instead of
+/// copying it; payload<T> reads it back the same way.
+template <typename T>
+TrialResult trial_result(std::shared_ptr<const T> payload,
+                         std::vector<std::pair<std::string, double>> metrics =
+                             {}) {
+  TrialResult r;
+  r.metrics = std::move(metrics);
+  r.payload = std::move(payload);
+  return r;
+}
+
 /// Recovers a payload stored by trial_result<T>.
 template <typename T>
 const T& payload(const TrialResult& r) {
@@ -92,7 +112,8 @@ const T& payload(const TrialResult& r) {
 
 /// One independent unit of work.  `run` must be thread-safe by isolation:
 /// it may not touch any mutable state shared with other trials (whole sim
-/// instances are built inside the closure), and it may not print.
+/// instances are built inside the closure; the synchronized run memo behind
+/// shared_run is the one exception), and it may not print.
 struct TrialSpec {
   std::string name;  // canonical label, unique within the scenario
   std::function<TrialResult()> run;

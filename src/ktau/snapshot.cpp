@@ -29,8 +29,10 @@ class ByteWriter {
 
  private:
   void raw(const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::byte*>(p);
-    out_.insert(out_.end(), b, b + n);
+    if (n == 0) return;
+    const std::size_t at = out_.size();
+    out_.resize(at + n);
+    std::memcpy(out_.data() + at, p, n);
   }
   std::vector<std::byte> out_;
 };

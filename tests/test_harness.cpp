@@ -82,7 +82,9 @@ ScenarioSpec make_counting_scenario(const std::string& name, int order,
   s.trials = [n_trials](const ScenarioParams& p) {
     std::vector<TrialSpec> trials;
     for (int i = 0; i < n_trials; ++i) {
-      trials.push_back({"t" + std::to_string(i),
+      // append, not `"t" + std::to_string(i)`: GCC 12 reports a false
+      // -Wrestrict on operator+(const char*, string&&) at -O3.
+      trials.push_back({std::string("t").append(std::to_string(i)),
                         [seed = p.seed(static_cast<std::uint64_t>(i)),
                          scale = p.scale] {
                           // Cheap deterministic work: a seeded RNG walk.

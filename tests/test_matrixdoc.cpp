@@ -16,6 +16,7 @@
 //     changes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
@@ -195,7 +196,9 @@ expt::ScenarioSpec fixture_scenario(const std::string& name, int order,
     std::vector<expt::TrialSpec> trials;
     for (int i = 0; i < n_trials; ++i) {
       trials.push_back(
-          {"t" + std::to_string(i),
+          // append, not `"t" + std::to_string(i)`: GCC 12 reports a false
+          // -Wrestrict on operator+(const char*, string&&) at -O3.
+          {std::string("t").append(std::to_string(i)),
            [seed = p.seed(static_cast<std::uint64_t>(i) + 3)] {
              sim::Rng rng(seed + 1);
              const double v =
@@ -412,6 +415,59 @@ TEST(MatrixDocValidate, BudgetsRejectMalformedLines) {
       << "inverted interval";
   EXPECT_TRUE(parse_budgets("").empty());
   EXPECT_TRUE(parse_budgets("# only comments\n").empty());
+}
+
+// Comments, blank lines, CR line ends, padding and exponent notation: the
+// budgets syntax the parser accepts.
+const std::string kSampleBudgets =
+    "# header comment\n"
+    "\n"
+    "table2|LU/128x1|exec_sec|29|37\n"
+    "  fig8|64x2 Pinned|exec_sec|1.5e1|2e1  \r\n"
+    "# trailing comment\n"
+    "serve|closed/1cpu|rps|-1|1900.25\n";
+
+TEST(BudgetsFuzz, EveryTruncationIsATypedErrorOrAPrefix) {
+  const std::vector<Budget> full = parse_budgets(kSampleBudgets);
+  ASSERT_EQ(full.size(), 3u);
+  for (std::size_t len = 0; len <= kSampleBudgets.size(); ++len) {
+    try {
+      const auto got =
+          parse_budgets(std::string_view(kSampleBudgets).substr(0, len));
+      // A cut can only drop rows or shorten the last row's hi bound.
+      ASSERT_LE(got.size(), full.size()) << "length " << len;
+      for (std::size_t i = 0; i + 1 < got.size(); ++i) {
+        EXPECT_EQ(got[i].scenario, full[i].scenario) << "length " << len;
+        EXPECT_EQ(got[i].trial, full[i].trial) << "length " << len;
+        EXPECT_EQ(got[i].metric, full[i].metric) << "length " << len;
+        EXPECT_EQ(got[i].lo, full[i].lo) << "length " << len;
+        EXPECT_EQ(got[i].hi, full[i].hi) << "length " << len;
+      }
+    } catch (const MatrixDocError& e) {
+      EXPECT_EQ(e.kind(), MatrixDocError::Kind::Budget) << "length " << len;
+    }
+  }
+}
+
+TEST(BudgetsFuzz, ByteFlipsNeverCrashAndStayBounded) {
+  sim::Rng rng(0xB0D6E7);
+  const std::size_t lines = static_cast<std::size_t>(std::count(
+      kSampleBudgets.begin(), kSampleBudgets.end(), '\n')) + 1;
+  for (int iter = 0; iter < 2000; ++iter) {
+    std::string corrupted = kSampleBudgets;
+    const std::size_t pos = rng.next_u64() % corrupted.size();
+    corrupted[pos] = static_cast<char>(
+        corrupted[pos] ^ static_cast<char>(1u << (rng.next_u64() % 8)));
+    try {
+      const auto got = parse_budgets(corrupted);
+      // At most one budget per line (a flip can add a newline), each a
+      // well-formed interval.
+      EXPECT_LE(got.size(), lines + 1);
+      for (const Budget& b : got) EXPECT_LE(b.lo, b.hi);
+    } catch (const MatrixDocError& e) {
+      EXPECT_EQ(e.kind(), MatrixDocError::Kind::Budget);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

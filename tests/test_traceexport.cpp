@@ -1,11 +1,14 @@
 // Tests for the KTL merged-trace export (the Vampir/Jumpshot hand-off).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
 
 #include "analysis/traceexport.hpp"
 #include "kernel/cluster.hpp"
 #include "libktau/libktau.hpp"
+#include "sim/rng.hpp"
 
 namespace ktau::analysis {
 namespace {
@@ -107,18 +110,97 @@ TEST(TraceExport, MultipleStreamsKeepIds) {
   for (const auto& e : file.events) {
     saw0 |= e.stream == 0;
     saw1 |= e.stream == 1;
-    if (e.stream == 0) EXPECT_TRUE(e.is_kernel);
-    if (e.stream == 1) EXPECT_FALSE(e.is_kernel);
+    if (e.stream == 0) {
+      EXPECT_TRUE(e.is_kernel);
+    }
+    if (e.stream == 1) {
+      EXPECT_FALSE(e.is_kernel);
+    }
   }
   EXPECT_TRUE(saw0);
   EXPECT_TRUE(saw1);
 }
 
 TEST(TraceExport, ReaderRejectsGarbage) {
-  EXPECT_THROW(read_ktl(""), std::runtime_error);
-  EXPECT_THROW(read_ktl("#KTL v2\n"), std::runtime_error);
-  EXPECT_THROW(read_ktl("#KTL v1\nX\t1\t2\n"), std::runtime_error);
-  EXPECT_THROW(read_ktl("#KTL v1\nE\tabc\n"), std::runtime_error);
+  EXPECT_THROW(read_ktl(""), KtlError);
+  EXPECT_THROW(read_ktl("#KTL v2\n"), KtlError);
+  EXPECT_THROW(read_ktl("#KTL v1\nX\t1\t2\n"), KtlError);
+  EXPECT_THROW(read_ktl("#KTL v1\nE\tabc\n"), KtlError);
+}
+
+// -- hostile input: the snapshot / matrixdoc fuzz posture ---------------------
+
+// Every record kind the writer emits, plus both header tags.
+const std::string kSampleKtl =
+    "#KTL v1\n"
+    "#freq 450000000\n"
+    "#stream 0 lu.0\n"
+    "#stream 1 ktaud\n"
+    "G\t100\t0\t3\t17\n"
+    "E\t120\t0\tU\tMPI_Recv\n"
+    "E\t130\t0\tK\tschedule\n"
+    "V\t140\t1\tbytes\t4096.5\n"
+    "L\t150\t0\tK\tschedule\n"
+    "L\t160\t0\tU\tMPI_Recv\n";
+
+bool same_event(const KtlEvent& a, const KtlEvent& b) {
+  return a.timestamp == b.timestamp && a.stream == b.stream &&
+         a.is_kernel == b.is_kernel && a.kind == b.kind && a.name == b.name &&
+         a.dropped == b.dropped && a.first_seq == b.first_seq;
+}
+
+std::size_t line_count(const std::string& text) {
+  return static_cast<std::size_t>(
+             std::count(text.begin(), text.end(), '\n')) + 1;
+}
+
+TEST(KtlFuzz, EveryTruncationIsATypedErrorOrAPrefix) {
+  const KtlFile full = read_ktl(kSampleKtl);
+  ASSERT_EQ(full.events.size(), 6u);
+  for (std::size_t len = 0; len < kSampleKtl.size(); ++len) {
+    const std::string prefix = kSampleKtl.substr(0, len);
+    try {
+      const KtlFile got = read_ktl(prefix);
+      // A line-oriented format: a cut can shorten the last row's name or
+      // drop whole rows, nothing else.
+      ASSERT_LE(got.events.size(), full.events.size()) << "length " << len;
+      for (std::size_t i = 0; i + 1 < got.events.size(); ++i) {
+        EXPECT_TRUE(same_event(got.events[i], full.events[i]))
+            << "length " << len << " event " << i;
+      }
+    } catch (const KtlError&) {
+      // Typed rejection.
+    }
+  }
+  // Any cut inside the header line is a rejection.
+  for (std::size_t len = 0; len < 7; ++len) {
+    EXPECT_THROW(read_ktl(kSampleKtl.substr(0, len)), KtlError);
+  }
+}
+
+TEST(KtlFuzz, ByteFlipsNeverCrashAndStayBounded) {
+  TracedRun run;
+  std::ostringstream os;
+  export_ktl(os, run.m->config().freq,
+             {{run.pid, "traced", &run.ktrace, run.prof.get()}});
+  for (const std::string& doc : {kSampleKtl, os.str()}) {
+    sim::Rng rng(0xC0FFEE);
+    for (int iter = 0; iter < 2000; ++iter) {
+      std::string corrupted = doc;
+      const std::size_t pos = rng.next_u64() % corrupted.size();
+      corrupted[pos] = static_cast<char>(
+          corrupted[pos] ^ static_cast<char>(1u << (rng.next_u64() % 8)));
+      try {
+        const KtlFile got = read_ktl(corrupted);
+        // Nothing is sized by a value read from the input: at most one
+        // event and one stream per line.
+        EXPECT_LE(got.events.size() + got.streams.size(),
+                  line_count(corrupted));
+      } catch (const KtlError&) {
+        // Typed rejection.
+      }
+    }
+  }
 }
 
 }  // namespace
