@@ -34,8 +34,8 @@ std::vector<TrialSpec> table4_trials(const ScenarioParams& p) {
                   {"stop_mean", run.overhead_stop_mean},
                   {"stop_stddev", run.overhead_stop_stddev},
                   {"stop_min", run.overhead_stop_min},
-                  {"samples",
-                   static_cast<double>(run.overhead_samples)}});
+                  {"samples", static_cast<double>(run.overhead_samples)},
+                  {"hidden_pairs", static_cast<double>(run.hidden_pairs)}});
            }}};
 }
 
@@ -50,10 +50,14 @@ void table4_report(Report& rep, const ScenarioParams&,
   rep.printf("%-10s %10.1f %10.1f %10.1f   (295.3 / 268.8 / 214)\n", "Stop",
              run.overhead_stop_mean, run.overhead_stop_stddev,
              run.overhead_stop_min);
-  rep.printf("samples: %llu probe firings\n",
-             static_cast<unsigned long long>(run.overhead_samples));
+  rep.printf("samples: %llu probe firings, %llu of them hidden pairs "
+             "charged in batches\n",
+             static_cast<unsigned long long>(run.overhead_samples),
+             static_cast<unsigned long long>(run.hidden_pairs));
   rep.gate("overhead distribution populated (samples > 0)",
            run.overhead_samples > 0);
+  rep.gate("hidden probe pairs batched (hidden_pairs > 0)",
+           run.hidden_pairs > 0);
 }
 
 [[maybe_unused]] const bool registered = register_scenario(

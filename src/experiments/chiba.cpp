@@ -373,14 +373,16 @@ ChibaRunResult run_chiba(const ChibaRunConfig& cfg) {
     // Fold this node's self-measured overhead stats into the totals.
     start_oh.merge(m.ktau().start_overhead());
     stop_oh.merge(m.ktau().stop_overhead());
+    result.hidden_pairs += m.ktau().hidden_pairs_charged();
   }
-  result.overhead_samples = start_oh.count();
-  result.overhead_start_mean = start_oh.mean();
-  result.overhead_start_stddev = start_oh.stddev();
-  result.overhead_start_min = start_oh.empty() ? 0.0 : start_oh.min();
-  result.overhead_stop_mean = stop_oh.mean();
-  result.overhead_stop_stddev = stop_oh.stddev();
-  result.overhead_stop_min = stop_oh.empty() ? 0.0 : stop_oh.min();
+  const meas::OverheadReport oh = meas::overhead_report(start_oh, stop_oh);
+  result.overhead_samples = oh.start_count;
+  result.overhead_start_mean = oh.start_mean;
+  result.overhead_start_stddev = oh.start_stddev;
+  result.overhead_start_min = oh.start_min;
+  result.overhead_stop_mean = oh.stop_mean;
+  result.overhead_stop_stddev = oh.stop_stddev;
+  result.overhead_stop_min = oh.stop_min;
 
   if (run.faults != nullptr) result.fault_totals = run.faults->totals();
   result.net_nodes = analysis::net_node_counters(*run.fabric);

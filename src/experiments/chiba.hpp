@@ -155,6 +155,9 @@ struct ChibaRunResult {
   double overhead_stop_mean = 0, overhead_stop_stddev = 0,
          overhead_stop_min = 0;
   std::uint64_t overhead_samples = 0;
+  /// Probe pairs charged in batches by KtauSystem::hidden_pairs, summed
+  /// over nodes (counted in overhead_samples too).
+  std::uint64_t hidden_pairs = 0;
   /// What the fault plan injected (all-zero for a fault-free run).
   sim::FaultPlan::Totals fault_totals;
   /// Per-node injected-interference seconds from each node's snapshot

@@ -1,5 +1,6 @@
 #include "ktau/procfs.hpp"
 
+#include <cmath>
 #include <utility>
 
 namespace ktau::meas {
@@ -155,21 +156,27 @@ std::size_t ProcKtau::ctl_set_trace_capacity(std::size_t capacity, Scope scope,
   return resized;
 }
 
-OverheadReport ProcKtau::ctl_overhead() const {
+OverheadReport overhead_report(const sim::OnlineStats& start,
+                               const sim::OnlineStats& stop) {
+  const auto min_or_zero = [](const sim::OnlineStats& s) {
+    const double m = s.min();
+    return std::isnan(m) ? 0.0 : m;
+  };
   OverheadReport rep;
-  const sim::OnlineStats& start = sys_.start_overhead();
-  const sim::OnlineStats& stop = sys_.stop_overhead();
   rep.start_count = start.count();
   rep.start_mean = start.mean();
   rep.start_stddev = start.stddev();
-  // With charge_overhead off (or KTAU disabled) there are no samples; report
-  // 0 rather than the accumulator's NaN sentinel so the /proc report stays
-  // printable.
-  rep.start_min = start.empty() ? 0.0 : start.min();
+  rep.start_min = min_or_zero(start);
   rep.stop_count = stop.count();
   rep.stop_mean = stop.mean();
   rep.stop_stddev = stop.stddev();
-  rep.stop_min = stop.empty() ? 0.0 : stop.min();
+  rep.stop_min = min_or_zero(stop);
+  return rep;
+}
+
+OverheadReport ProcKtau::ctl_overhead() const {
+  OverheadReport rep =
+      overhead_report(sys_.start_overhead(), sys_.stop_overhead());
   rep.total_cycles = sys_.total_overhead_cycles();
   return rep;
 }

@@ -62,6 +62,14 @@ struct OverheadReport {
   sim::Cycles total_cycles = 0;
 };
 
+/// Table 4's numbers from a start and a stop overhead accumulator (one
+/// node's, or several merged); total_cycles is left 0.  A min with no
+/// individually drawn probe behind it (overhead not charged, or hidden
+/// batches only) reads 0 rather than the accumulator's NaN sentinel, so the
+/// report stays printable.
+OverheadReport overhead_report(const sim::OnlineStats& start,
+                               const sim::OnlineStats& stop);
+
 class ProcKtau {
  public:
   /// `now` supplies the kernel's current time for snapshot timestamps.

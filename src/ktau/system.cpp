@@ -7,15 +7,31 @@ namespace ktau::meas {
 KtauSystem::KtauSystem(const KtauConfig& cfg, std::uint64_t seed)
     : cfg_(cfg), rng_(seed) {}
 
-double KtauSystem::draw_cost(double min, double mean) {
+double KtauSystem::base_mean(double min, double mean) const {
+  // Keep the overall mean at `mean` despite the outlier component.
   const double p = cfg_.overhead.outlier_prob;
   const double om = cfg_.overhead.outlier_mean;
+  const double base = p > 0 ? (mean - p * om) / (1.0 - p) : mean;
+  return std::max(base, min + 1.0);
+}
+
+double KtauSystem::draw_cost(double min, double mean) {
+  const double p = cfg_.overhead.outlier_prob;
   if (p > 0 && rng_.bernoulli(p)) {
-    return rng_.shifted_exponential(min, om);
+    return rng_.shifted_exponential(min, cfg_.overhead.outlier_mean);
   }
-  // Keep the overall mean at `mean` despite the outlier component.
-  const double base_mean = p > 0 ? (mean - p * om) / (1.0 - p) : mean;
-  return rng_.shifted_exponential(min, std::max(base_mean, min + 1.0));
+  return rng_.shifted_exponential(min, base_mean(min, mean));
+}
+
+double KtauSystem::draw_cost_sum(double min, double mean, std::uint32_t k) {
+  // Each draw_cost is min + (component mean - min) * Exp(1), so k of them
+  // sum to k*min plus one Erlang per component, the components split by a
+  // Binomial count of outliers.
+  const std::uint64_t outliers =
+      sim::binomial(rng_, k, cfg_.overhead.outlier_prob);
+  return k * min +
+         (cfg_.overhead.outlier_mean - min) * sim::erlang(rng_, outliers) +
+         (base_mean(min, mean) - min) * sim::erlang(rng_, k - outliers);
 }
 
 void KtauSystem::charge(CpuClock& clock, double cycles) {
@@ -113,16 +129,15 @@ void KtauSystem::hidden_pairs(CpuClock& clock, Group g, std::uint32_t pairs) {
     charge(clock, cfg_.overhead.disabled_check * pairs);
     return;
   }
-  for (std::uint32_t i = 0; i < pairs; ++i) {
-    const double start =
-        draw_cost(cfg_.overhead.start_min, cfg_.overhead.start_mean);
-    start_overhead_.add(start);
-    charge(clock, start);
-    const double stop =
-        draw_cost(cfg_.overhead.stop_min, cfg_.overhead.stop_mean);
-    stop_overhead_.add(stop);
-    charge(clock, stop);
-  }
+  hidden_pairs_charged_ += pairs;
+  const double start =
+      draw_cost_sum(cfg_.overhead.start_min, cfg_.overhead.start_mean, pairs);
+  start_overhead_.add_batch(pairs, start);
+  charge(clock, start);
+  const double stop =
+      draw_cost_sum(cfg_.overhead.stop_min, cfg_.overhead.stop_mean, pairs);
+  stop_overhead_.add_batch(pairs, stop);
+  charge(clock, stop);
 }
 
 void KtauSystem::reap(Pid pid, std::string name, TaskProfile&& profile) {

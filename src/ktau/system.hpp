@@ -61,7 +61,14 @@ class KtauSystem {
   /// functions (a single sys_read transits dozens of KTAU instrumentation
   /// points in the real patch); hidden pairs make the *perturbation* of
   /// that instrumentation density visible (Table 3) while keeping the
-  /// event model tractable.  No-ops when the group is disabled.
+  /// event model tractable.  Charges only the disabled-flag checks when the
+  /// group is disabled.
+  ///
+  /// The pairs are charged as one batch: the start and the stop side each
+  /// draw once from the exact distribution of the sum of `pairs` probe
+  /// costs (DESIGN.md §3a), and each side's sum is truncated to whole
+  /// cycles once.  Table 4's count and mean include these probes; its
+  /// stddev and min come from the individually drawn entry()/exit() costs.
   void hidden_pairs(CpuClock& clock, Group g, std::uint32_t pairs);
 
   /// Registers (or finds) an instrumentation point.  Kernel code paths call
@@ -117,6 +124,9 @@ class KtauSystem {
   /// Total cycles of measurement overhead injected into the system.
   sim::Cycles total_overhead_cycles() const { return total_overhead_; }
 
+  /// Probe pairs charged in batches by hidden_pairs() while enabled.
+  std::uint64_t hidden_pairs_charged() const { return hidden_pairs_charged_; }
+
   // -- extraction epochs (delta snapshot support) ---------------------------
 
   /// Monotonic extraction epoch.  Rows mutated while the epoch is E are
@@ -151,12 +161,21 @@ class KtauSystem {
   /// OverheadModel::outlier_prob).
   double draw_cost(double min, double mean);
 
+  /// Draws the sum of `k` independent draw_cost(min, mean) values, exactly
+  /// distributed, with one Binomial and two Erlang draws.
+  double draw_cost_sum(double min, double mean, std::uint32_t k);
+
+  /// Mean of the non-outlier component that keeps the mixture's mean at
+  /// `mean`, floored just above `min`.
+  double base_mean(double min, double mean) const;
+
   KtauConfig cfg_;
   EventRegistry registry_;
   sim::Rng rng_;
   sim::OnlineStats start_overhead_;
   sim::OnlineStats stop_overhead_;
   sim::Cycles total_overhead_ = 0;
+  std::uint64_t hidden_pairs_charged_ = 0;
   std::uint64_t extraction_epoch_ = 1;
   std::vector<ReapedTask> reaped_;
 };

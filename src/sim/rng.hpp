@@ -103,4 +103,56 @@ class Rng {
   std::uint64_t s_[4]{};
 };
 
+/// Binomial(n, p): the number of successes in n Bernoulli(p) trials, drawn
+/// exactly by inversion with one uniform per chunk of at most 64 trials.
+/// Counting the rarer outcome (p <= 1/2) keeps a chunk's zero-success mass
+/// (1-p)^64 >= 2^-64, so no pmf term underflows, whatever n is.
+inline std::uint64_t binomial(Rng& rng, std::uint64_t n, double p) {
+  if (!(p > 0.0)) return 0;
+  if (p >= 1.0) return n;
+  if (p > 0.5) return n - binomial(rng, n, 1.0 - p);
+  const double q = 1.0 - p;
+  const double odds = p / q;
+  std::uint64_t total = 0;
+  while (n > 0) {
+    const std::uint64_t chunk = n < 64 ? n : 64;
+    n -= chunk;
+    // f = q^chunk = P(X = 0) for this chunk, by squaring.
+    double f = 1.0;
+    double base = q;
+    for (std::uint64_t e = chunk; e != 0; e >>= 1) {
+      if ((e & 1) != 0) f *= base;
+      base *= base;
+    }
+    // Walk the pmf upward until the uniform falls inside P(X = x).
+    double u = rng.next_double();
+    std::uint64_t x = 0;
+    while (u >= f && x < chunk) {
+      u -= f;
+      ++x;
+      f *= odds * static_cast<double>(chunk - x + 1) / static_cast<double>(x);
+    }
+    total += x;
+  }
+  return total;
+}
+
+/// Gamma(n, 1) for integer shape n (the Erlang distribution): the sum of n
+/// unit-mean exponentials, drawn exactly as -log of a product of n uniforms
+/// on (0, 1] with a single log.  The product is folded into the sum before
+/// it can leave the normal range, so any n works.  n = 0 gives 0.
+inline double erlang(Rng& rng, std::uint64_t n) {
+  if (n == 0) return 0.0;
+  double sum = 0.0;
+  double prod = 1.0;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    prod *= static_cast<double>((rng.next_u64() >> 11) + 1) * 0x1.0p-53;
+    if (prod < 0x1.0p-960) {
+      sum -= std::log(prod);
+      prod = 1.0;
+    }
+  }
+  return sum - std::log(prod);
+}
+
 }  // namespace ktau::sim

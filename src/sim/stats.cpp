@@ -29,9 +29,17 @@ double OnlineStats::variance() const {
 double OnlineStats::stddev() const { return std::sqrt(variance()); }
 
 void OnlineStats::merge(const OnlineStats& other) {
+  // The batch part is a plain count and sum; only the individually added
+  // part needs Welford's pairwise combination.
+  batch_n_ += other.batch_n_;
+  sum_ += other.sum_;
   if (other.n_ == 0) return;
   if (n_ == 0) {
-    *this = other;
+    n_ = other.n_;
+    mean_ = other.mean_;
+    m2_ = other.m2_;
+    min_ = other.min_;
+    max_ = other.max_;
     return;
   }
   const double na = static_cast<double>(n_);
@@ -41,7 +49,6 @@ void OnlineStats::merge(const OnlineStats& other) {
   m2_ = m2_ + other.m2_ + delta * delta * na * nb / total;
   mean_ = (mean_ * na + other.mean_ * nb) / total;
   n_ += other.n_;
-  sum_ += other.sum_;
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
 }

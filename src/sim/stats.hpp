@@ -15,19 +15,35 @@
 namespace ktau::sim {
 
 /// Streaming mean / variance / extrema (Welford's algorithm).
+///
+/// Samples arrive one at a time (add) or as a batch known only by its count
+/// and sum (add_batch).  count(), sum() and mean() cover every sample;
+/// variance(), stddev(), min() and max() describe the individually added
+/// samples only, since a batch carries no spread or extrema.
 class OnlineStats {
  public:
   void add(double x);
 
-  bool empty() const { return n_ == 0; }
-  std::uint64_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  /// Population variance (n in the denominator); 0 for n < 2.
+  /// Folds in `count` samples whose values are known only by their `sum`.
+  void add_batch(std::uint64_t count, double sum) {
+    batch_n_ += count;
+    sum_ += sum;
+  }
+
+  bool empty() const { return count() == 0; }
+  std::uint64_t count() const { return n_ + batch_n_; }
+  double mean() const {
+    if (batch_n_ != 0) return sum_ / static_cast<double>(count());
+    return n_ ? mean_ : 0.0;
+  }
+  /// Population variance (n in the denominator) of the individually added
+  /// samples; 0 for fewer than two.
   double variance() const;
   double stddev() const;
-  /// Extrema are NaN for the empty distribution — callers that would format
-  /// them must check empty() (a genuine minimum of 0.0 is representable, so
-  /// 0.0 cannot double as the "no samples" sentinel).
+  /// Extrema of the individually added samples; NaN when there are none (a
+  /// genuine minimum of 0.0 is representable, so 0.0 cannot double as the
+  /// "no samples" sentinel).  Batches alone leave empty() false, so callers
+  /// that would format an extremum must test it for NaN, not check empty().
   double min() const {
     return n_ ? min_ : std::numeric_limits<double>::quiet_NaN();
   }
@@ -40,7 +56,8 @@ class OnlineStats {
   void merge(const OnlineStats& other);
 
  private:
-  std::uint64_t n_ = 0;
+  std::uint64_t n_ = 0;        // individually added samples
+  std::uint64_t batch_n_ = 0;  // samples folded in by add_batch
   double mean_ = 0.0;
   double m2_ = 0.0;
   double sum_ = 0.0;

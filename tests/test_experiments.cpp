@@ -3,6 +3,9 @@
 // experiments — all at miniature scale so the suite stays fast.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+
 #include "experiments/chiba.hpp"
 #include "experiments/controlled.hpp"
 #include "experiments/perturb.hpp"
@@ -197,6 +200,28 @@ TEST(Controlled, SmpExperimentShowsCpu0RankPreempted) {
   for (int r = 1; r < 4; ++r) {
     EXPECT_GT(result.vol_sec[r], result.invol_sec[r]) << r;
     EXPECT_LT(result.invol_sec[r], result.invol_sec[0]) << r;
+  }
+}
+
+TEST(Controlled, SmpShapeHoldsForEverySeed) {
+  // The fig2 gate's paper shape (bench_fig2_controlled) at the scenario's
+  // default scale, for seeds 1-8: which rank suffers the daemon must not
+  // depend on the seed.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const auto r = run_smp_volinvol(seed, 0.3);
+    ASSERT_EQ(r.vol_sec.size(), 4u);
+    std::printf("seed %llu: LU-0 vol %.2f invol %.2f; max other invol %.2f "
+                "(bound %.2f)\n",
+                static_cast<unsigned long long>(seed), r.vol_sec[0],
+                r.invol_sec[0],
+                std::max({r.invol_sec[1], r.invol_sec[2], r.invol_sec[3]}),
+                0.7 * r.invol_sec[0]);
+    EXPECT_GT(r.invol_sec[0], r.vol_sec[0]) << "seed " << seed;
+    for (int k = 1; k < 4; ++k) {
+      EXPECT_GT(r.vol_sec[k], r.invol_sec[k]) << "seed " << seed << " LU-" << k;
+      EXPECT_LT(r.invol_sec[k], 0.7 * r.invol_sec[0])
+          << "seed " << seed << " LU-" << k;
+    }
   }
 }
 

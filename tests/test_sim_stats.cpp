@@ -78,6 +78,69 @@ TEST(OnlineStats, MergeWithEmptySides) {
   EXPECT_DOUBLE_EQ(b.mean(), 2.0);
 }
 
+TEST(OnlineStats, BatchesCountInMeanButNotInSpread) {
+  OnlineStats s;
+  s.add(2.0);
+  s.add(4.0);
+  s.add_batch(4, 30.0);  // four samples summing to 30
+  EXPECT_FALSE(s.empty());
+  EXPECT_EQ(s.count(), 6u);
+  EXPECT_DOUBLE_EQ(s.sum(), 36.0);
+  EXPECT_DOUBLE_EQ(s.mean(), 6.0);
+  // Spread and extrema describe the two individual samples only.
+  EXPECT_DOUBLE_EQ(s.variance(), 1.0);
+  EXPECT_DOUBLE_EQ(s.min(), 2.0);
+  EXPECT_DOUBLE_EQ(s.max(), 4.0);
+}
+
+TEST(OnlineStats, BatchOnlyAccumulatorIsNotEmptyButHasNoExtrema) {
+  // A batch-only accumulator has a count and a mean but no min: callers
+  // must test min() for NaN, since empty() is false.
+  OnlineStats s;
+  s.add_batch(3, 9.0);
+  EXPECT_FALSE(s.empty());
+  EXPECT_EQ(s.count(), 3u);
+  EXPECT_DOUBLE_EQ(s.mean(), 3.0);
+  EXPECT_EQ(s.stddev(), 0.0);
+  EXPECT_TRUE(std::isnan(s.min()));
+  EXPECT_TRUE(std::isnan(s.max()));
+}
+
+TEST(OnlineStats, MergeKeepsBatchOnlyAccumulators) {
+  // Merging must not drop an accumulator that holds only batches (it has
+  // no individually added samples), in either direction.
+  OnlineStats measured;
+  measured.add(2.0);
+  measured.add(4.0);
+  OnlineStats batch_only;
+  batch_only.add_batch(3, 9.0);
+
+  OnlineStats a = measured;
+  a.merge(batch_only);
+  EXPECT_EQ(a.count(), 5u);
+  EXPECT_DOUBLE_EQ(a.sum(), 15.0);
+  EXPECT_DOUBLE_EQ(a.mean(), 3.0);
+  EXPECT_DOUBLE_EQ(a.variance(), 1.0);
+  EXPECT_DOUBLE_EQ(a.min(), 2.0);
+  EXPECT_DOUBLE_EQ(a.max(), 4.0);
+
+  OnlineStats b = batch_only;
+  b.merge(measured);
+  EXPECT_EQ(b.count(), 5u);
+  EXPECT_DOUBLE_EQ(b.sum(), 15.0);
+  EXPECT_DOUBLE_EQ(b.variance(), 1.0);
+  EXPECT_DOUBLE_EQ(b.min(), 2.0);
+
+  // Two batch-only sides, merged into a fresh accumulator as the Table 4
+  // aggregation folds nodes.
+  OnlineStats total;
+  total.merge(batch_only);
+  total.merge(batch_only);
+  EXPECT_EQ(total.count(), 6u);
+  EXPECT_DOUBLE_EQ(total.mean(), 3.0);
+  EXPECT_TRUE(std::isnan(total.min()));
+}
+
 TEST(Histogram, BinsAndClamping) {
   Histogram h(0.0, 10.0, 5);
   h.add(0.5);    // bin 0
