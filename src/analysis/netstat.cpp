@@ -16,6 +16,7 @@ std::vector<NetNodeCounters> net_node_counters(const knet::Fabric& fabric) {
     const knet::NodeStack& s = f.stack(n);
     NetNodeCounters row;
     row.node = n;
+    row.tx_segments = s.tx_segments();
     row.rx_segments = s.rx_segments();
     row.rx_penalized = s.rx_penalized();
     row.retransmits = s.retransmits();
@@ -25,6 +26,7 @@ std::vector<NetNodeCounters> net_node_counters(const knet::Fabric& fabric) {
       row.read_errors += s.socket(static_cast<int>(fd)).read_errors;
     }
     row.nic_tx_sec = static_cast<double>(s.nic_tx_ns()) / sim::kSecond;
+    row.rx_queued = s.rx_queued();
     out.push_back(row);
   }
   return out;
@@ -33,6 +35,7 @@ std::vector<NetNodeCounters> net_node_counters(const knet::Fabric& fabric) {
 NetNodeCounters net_counter_totals(const std::vector<NetNodeCounters>& rows) {
   NetNodeCounters total;
   for (const auto& r : rows) {
+    total.tx_segments += r.tx_segments;
     total.rx_segments += r.rx_segments;
     total.rx_penalized += r.rx_penalized;
     total.retransmits += r.retransmits;
@@ -40,6 +43,7 @@ NetNodeCounters net_counter_totals(const std::vector<NetNodeCounters>& rows) {
     total.acks_received += r.acks_received;
     total.read_errors += r.read_errors;
     total.nic_tx_sec += r.nic_tx_sec;
+    total.rx_queued += r.rx_queued;
   }
   return total;
 }

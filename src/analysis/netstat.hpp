@@ -20,6 +20,8 @@ namespace ktau::analysis {
 
 struct NetNodeCounters {
   kernel::NodeId node = 0;
+  /// Data segments sent (first transmissions; loopback included).
+  std::uint64_t tx_segments = 0;
   /// Segments processed by tcp_v4_rcv (includes discarded duplicates).
   std::uint64_t rx_segments = 0;
   /// Of those, receives that paid the cross-CPU cache penalty.
@@ -35,6 +37,9 @@ struct NetNodeCounters {
   std::uint64_t read_errors = 0;
   /// Cumulative NIC egress serialization (wire occupancy), seconds.
   double nic_tx_sec = 0;
+  /// Segments left in the rx ring or a softirq backlog at harvest time
+  /// (0 once a run has drained).
+  std::uint64_t rx_queued = 0;
 };
 
 /// One row per node, in node-id order.

@@ -374,6 +374,10 @@ ChibaRunResult run_chiba(const ChibaRunConfig& cfg) {
     start_oh.merge(m.ktau().start_overhead());
     stop_oh.merge(m.ktau().stop_overhead());
     result.hidden_pairs += m.ktau().hidden_pairs_charged();
+    for (kernel::CpuId c = 0; c < m.cpu_count(); ++c) {
+      result.hard_irqs += m.cpu(c).hard_irqs;
+      result.irqs_coalesced += m.cpu(c).irqs_coalesced;
+    }
   }
   const meas::OverheadReport oh = meas::overhead_report(start_oh, stop_oh);
   result.overhead_samples = oh.start_count;

@@ -144,6 +144,11 @@ struct ChibaRunResult {
   /// Discrete events the engine executed for the whole run (simulator
   /// throughput metric; also feeds the determinism regression checksum).
   std::uint64_t engine_events = 0;
+  /// Hard IRQs run (Cpu::hard_irqs) and device-IRQ raises absorbed by an
+  /// already-pending line (Cpu::irqs_coalesced), summed over every CPU of
+  /// every node (simulator-health counters).
+  std::uint64_t hard_irqs = 0;
+  std::uint64_t irqs_coalesced = 0;
   std::vector<RankStats> ranks;
   /// Full node snapshot of the anomaly node (node 61) for Figure 7, and of
   /// node 0 otherwise.

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <string>
+#include <vector>
 
 #include "kernel/types.hpp"
 #include "ktau/clock.hpp"
@@ -45,6 +46,13 @@ struct Cpu {
   // -- softirq ("bottom half") state -------------------------------------------
   std::uint32_t softirq_pending = 0;
 
+  // -- device interrupts ---------------------------------------------------------
+  /// One pending bit per registered IRQ line, like the local APIC's IRR:
+  /// set while a delivery of that line is held behind a kernel path on this
+  /// CPU.  A raise that finds its bit set adds nothing — the held delivery's
+  /// handler drains whatever it stood for.  Sized by Machine::register_irq.
+  std::vector<bool> irq_pending;
+
   // -- idle context -------------------------------------------------------------
   /// The swapper task's measurement profile: interrupt activity while the
   /// CPU is idle is charged here, exactly as KTAU charges pid 0.
@@ -54,6 +62,8 @@ struct Cpu {
 
   // -- counters (simulator health / experiments) --------------------------------
   std::uint64_t hard_irqs = 0;
+  /// Raises absorbed by an already-pending line (see irq_pending).
+  std::uint64_t irqs_coalesced = 0;
   std::uint64_t context_switches = 0;
 
   bool idle() const { return current == nullptr; }

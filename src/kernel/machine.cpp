@@ -633,6 +633,7 @@ void Machine::end_kernel_path(Cpu& cpu) { do_softirqs(cpu); }
 Machine::IrqLine Machine::register_irq(meas::EventId handler_event,
                                        std::function<void(Cpu&)> handler) {
   irq_lines_.push_back(IrqLineEntry{handler_event, std::move(handler)});
+  for (auto& cpu : cpus_) cpu->irq_pending.resize(irq_lines_.size());
   return static_cast<IrqLine>(irq_lines_.size()) - 1;
 }
 
@@ -642,19 +643,34 @@ void Machine::raise_device_irq(IrqLine line) {
     target = irq_rr_next_;
     irq_rr_next_ = (irq_rr_next_ + 1) % cpu_count();
   }
-  deliver_irq(*cpus_[target], line);
+  Cpu& cpu = *cpus_[target];
+  if (cpu.irq_pending.at(line)) {
+    // Already pending on this CPU: the held delivery's handler will drain
+    // whatever this raise stands for, as one hard IRQ.
+    ++cpu.irqs_coalesced;
+    return;
+  }
+  deliver_irq(cpu, line);
 }
 
 void Machine::deliver_irq(Cpu& cpu, IrqLine line) {
   const sim::TimeNs now = engine_.now();
   if (cpu.clock.cursor > now) {
     // The CPU is committed inside a kernel path: interrupts are held off
-    // until it completes (non-preemptible kernel).
+    // until it completes (non-preemptible kernel).  The line stays pending
+    // while this one event re-defers itself to the path's end, so further
+    // raises of the line are absorbed (raise_device_irq) instead of each
+    // queueing — and re-deferring — a delivery of its own.
+    cpu.irq_pending[line] = true;
     engine_.schedule_at(cpu.clock.cursor,
                         [this, &cpu, line] { deliver_irq(cpu, line); });
     return;
   }
-  const IrqLineEntry& entry = irq_lines_.at(line);
+  // Cleared before the handler runs: a raise from here on (say, a packet
+  // arriving after the handler drained the rx ring) is a new interrupt, so
+  // nothing a handler drains can be left stranded.
+  cpu.irq_pending[line] = false;
+  const IrqLineEntry& entry = irq_lines_[line];
   const meas::EventId handler_event = entry.event;
   const auto& handler = entry.handler;
 

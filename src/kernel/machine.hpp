@@ -161,7 +161,10 @@ class Machine : public meas::TaskTable {
 
   /// Delivers a device interrupt: the IRQ controller picks a CPU per the
   /// configured policy and the handler runs in interrupt context there
-  /// (wrapped in do_IRQ + the line's handler-event instrumentation).
+  /// (wrapped in do_IRQ + the line's handler-event instrumentation).  A
+  /// line is pending at most once per CPU: a raise whose line is already
+  /// held on the target CPU is absorbed (Cpu::irq_pending), and the held
+  /// delivery's handler serves it.
   void raise_device_irq(IrqLine line);
 
   /// Blocks the currently running task (call from inside a syscall path).

@@ -114,6 +114,7 @@ SyscallStatus NodeStack::sys_send(Cpu& cpu, Task& /*t*/,
       model_->segment_out(cpu, m.socket, pkt);
     }
     sock.bytes_sent += seg;
+    ++tx_segments_;
   }
 
   cpu.clock.consume_cycles(cfg_.sock_glue);
@@ -393,15 +394,23 @@ void NodeStack::deliver(const Packet& p) {
 }
 
 void NodeStack::nic_irq(Cpu& cpu) {
-  // Drain the rx ring into this CPU's softirq backlog (netif_rx).  Deferred
-  // interrupts drain everything that accumulated, so a burst of segments is
-  // handled by one hard IRQ (interrupt coalescing falls out naturally).
+  // Drain the rx ring into this CPU's softirq backlog (netif_rx).  While a
+  // delivery is held behind a kernel path the line stays pending on its CPU
+  // and further raises are absorbed (Machine::raise_device_irq), so a burst
+  // of segments is handled by one hard IRQ that drains everything that
+  // accumulated.
   while (!rx_ring_.empty()) {
     backlog_[cpu.id].push_back(rx_ring_.front());
     rx_ring_.pop_front();
     cpu.clock.consume_cycles(cfg_.nic_per_packet);
   }
   machine_.raise_softirq(cpu, kernel::kSoftirqNetRx);
+}
+
+std::size_t NodeStack::rx_queued() const {
+  std::size_t queued = rx_ring_.size();
+  for (const auto& backlog : backlog_) queued += backlog.size();
+  return queued;
 }
 
 void NodeStack::emit_ack(Cpu& cpu, const Socket& sock, std::uint32_t acked) {

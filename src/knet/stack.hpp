@@ -119,8 +119,14 @@ class NodeStack final : public kernel::NetStack {
   StackModel& model() { return *model_; }
   const StackModel& model() const { return *model_; }
 
+  /// Data segments this node's sys_send put out (loopback included,
+  /// retransmissions not).
+  std::uint64_t tx_segments() const { return tx_segments_; }
   /// Total segments processed by tcp_v4_rcv on this node.
   std::uint64_t rx_segments() const { return rx_segments_; }
+  /// Segments still queued on the receive side: in the rx ring or in a
+  /// CPU's softirq backlog.
+  std::size_t rx_queued() const;
   /// Of those, how many paid the cross-CPU cache penalty.
   std::uint64_t rx_penalized() const { return rx_penalized_; }
   /// Segments this node retransmitted after simulated wire loss.
@@ -229,6 +235,7 @@ class NodeStack final : public kernel::NetStack {
   /// Registered only when the model wants ACKs (windowed models).
   meas::EventId ev_tcp_ack_rcv_ = 0;
 
+  std::uint64_t tx_segments_ = 0;
   std::uint64_t rx_segments_ = 0;
   std::uint64_t rx_penalized_ = 0;
   std::uint64_t retransmits_ = 0;
