@@ -78,5 +78,3 @@ void calibrate_report(Report& rep, const ScenarioParams&,
 
 }  // namespace
 }  // namespace ktau::expt
-
-KTAU_BENCH_MAIN("calibrate")

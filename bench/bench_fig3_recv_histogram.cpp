@@ -76,5 +76,3 @@ void fig3_report(Report& rep, const ScenarioParams&,
 
 }  // namespace
 }  // namespace ktau::expt
-
-KTAU_BENCH_MAIN("fig3")

@@ -15,9 +15,10 @@
 
 namespace ktau::expt {
 
-/// Default fault mix used by bench_faults and the tests: packet loss +
-/// reorder on the fabric, an IRQ-storm + stolen-cycle load on the victim,
-/// and a mild compute slowdown.  Calibration notes live in EXPERIMENTS.md.
+/// Default fault mix used by the faults scenario (`bench_matrix --filter
+/// faults`) and the tests: packet loss + reorder on the fabric, an
+/// IRQ-storm + stolen-cycle load on the victim, and a mild compute
+/// slowdown.  Calibration notes live in EXPERIMENTS.md.
 sim::FaultConfig chiba_fault_preset();
 
 struct FaultScenarioConfig {

@@ -298,12 +298,9 @@ bool parse_matrix_args(int argc, char** argv, MatrixOptions& opt,
       if (v == nullptr) return false;
       split_csv(v, opt.filter);
     } else if (!arg.empty() && arg[0] != '-') {
-      // Bare positional number = workload scale (historical `bench_foo 0.1`).
-      if (!parse_positive_double(arg.c_str(), opt.scale)) {
-        error = "unrecognized positional argument '" + arg +
-                "' (expected a positive scale)";
-        return false;
-      }
+      error = "unexpected positional argument '" + arg +
+              "' (the scale is --scale X)";
+      return false;
     } else {
       error = "unknown option '" + arg + "'";
       return false;
@@ -481,7 +478,7 @@ int run_matrix(const MatrixOptions& opt, std::ostream& out,
   return failures;
 }
 
-int harness_main(int argc, char** argv, const char* default_filter) {
+int harness_main(int argc, char** argv) {
   MatrixOptions opt;
   bool want_list = false, want_help = false;
   std::string error;
@@ -491,14 +488,13 @@ int harness_main(int argc, char** argv, const char* default_filter) {
   }
   if (want_help) {
     std::printf(
-        "usage: %s [scale] [options]\n"
+        "usage: %s [options]\n"
         "\n"
         "Runs registered experiment scenarios through the shared harness.\n"
         "\n"
         "  --scale X     workload scale as a fraction of the paper-length\n"
         "                runs (default %.2f = expt::kDefaultScale, unless\n"
         "                the scenario declares another — see --list).\n"
-        "                A bare positional number is accepted too.\n"
         "  --trials N    repetitions per scenario with derived seeds\n"
         "                (default 1; repeat 0 keeps historical seeds)\n"
         "  --jobs N      worker threads for trial execution (default 1;\n"
@@ -527,10 +523,6 @@ int harness_main(int argc, char** argv, const char* default_filter) {
   if (want_list) {
     list_scenarios(std::cout);
     return 0;
-  }
-  if (opt.filter.empty() && default_filter != nullptr &&
-      default_filter[0] != '\0') {
-    split_csv(default_filter, opt.filter);
   }
   const int failures = run_matrix(opt, std::cout, std::cerr);
   return failures > 125 ? 125 : failures;

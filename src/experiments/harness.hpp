@@ -4,9 +4,9 @@
 // bench) is a `ScenarioSpec`: a name, a default scale, a function that
 // decomposes the scenario into independent `(config, seed)` trials, and a
 // report function that renders the human-readable output and emits PASS/FAIL
-// gates.  The former 17 `bench_*` binaries are thin registrations against
-// this spine; `bench_matrix` links them all and runs the whole paper matrix
-// in one invocation.
+// gates.  Each bench/bench_*.cpp is a plain registration file against this
+// spine; `bench_matrix` links them all and is the only scenario runner, for
+// the whole paper matrix or any `--filter` subset of it.
 //
 // Determinism under parallelism (DESIGN.md §9):
 //   - trial closures are pure with respect to shared state — each builds its
@@ -160,8 +160,8 @@ struct ScenarioSpec {
   std::string name;   // CLI key, e.g. "table2"
   std::string title;  // header line, e.g. the paper table caption
   /// Scale used when --scale is absent.  Most scenarios use kDefaultScale;
-  /// a few override it where the historical binary ran a different length
-  /// (the override shows up in --list).
+  /// a few override it where their gates need a different run length (the
+  /// override shows up in --list).
   double default_scale = kDefaultScale;
   /// Position in the canonical matrix order (paper artifact order).
   int order = 1000;
@@ -204,9 +204,8 @@ struct MatrixOptions {
 };
 
 /// Parses the runner CLI into `opt`.  Returns false and fills `error` on
-/// bad input.  Recognizes a bare positional number as --scale for
-/// compatibility with the historical `bench_foo 0.1` invocation.  --list
-/// and --help are returned via the flags.
+/// bad input (a bare positional argument included: the scale is always
+/// `--scale X`).  --list and --help are returned via the flags.
 bool parse_matrix_args(int argc, char** argv, MatrixOptions& opt,
                        bool& want_list, bool& want_help, std::string& error);
 
@@ -220,11 +219,9 @@ int run_matrix(const MatrixOptions& opt, std::ostream& out,
 /// Writes the --list output (canonical order, default scales, titles).
 void list_scenarios(std::ostream& out);
 
-/// The shared runner main: parses argv, applies `default_filter` when the
-/// CLI gives none (the thin per-bench binaries pass their scenario name;
-/// bench_matrix passes ""), runs the matrix, returns the failure count as
-/// exit status (clamped to 125).
-int harness_main(int argc, char** argv, const char* default_filter = "");
+/// The runner main behind bench_matrix: parses argv, runs the matrix,
+/// returns the failure count as exit status (clamped to 125).
+int harness_main(int argc, char** argv);
 
 // ---------------------------------------------------------------------------
 // Shared metric helpers (the former bench_util.hpp, folded into the spine).
@@ -244,14 +241,3 @@ inline sim::Cdf cdf_of(const std::vector<double>& values) {
 }
 
 }  // namespace ktau::expt
-
-// Expands to the shared runner main unless the translation unit is being
-// linked into the all-scenario bench_matrix binary (KTAU_BENCH_NO_MAIN).
-#ifndef KTAU_BENCH_NO_MAIN
-#define KTAU_BENCH_MAIN(default_filter)                       \
-  int main(int argc, char** argv) {                           \
-    return ktau::expt::harness_main(argc, argv, default_filter); \
-  }
-#else
-#define KTAU_BENCH_MAIN(default_filter)
-#endif

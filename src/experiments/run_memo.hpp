@@ -16,8 +16,9 @@
 // the one field normalized away, because results are byte-identical for
 // every shard count (DESIGN.md §11).
 //
-// Gates that exist to simulate twice (bench_faults' same-seed determinism
-// pair, bench_engine's timed replay) call `run_chiba` directly and never
+// Gates that exist to simulate twice (the faults scenario's same-seed
+// determinism pair, the engine scenario's timed replay — `bench_matrix
+// --filter faults` / `--filter engine`) call `run_chiba` directly and never
 // touch the memo.
 #pragma once
 

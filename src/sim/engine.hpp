@@ -119,7 +119,8 @@ class Engine {
 
   /// Internal-vector growth events (slot pool or heap reallocation) since
   /// construction.  A run whose peak occupancy was covered by reserve()
-  /// keeps this at its post-warmup value; bench_engine gates on it.  This
+  /// keeps this at its post-warmup value; `bench_matrix --filter
+  /// engine_scale` gates on it.  This
   /// deliberately counts capacity growth rather than global operator-new
   /// calls: a process-wide allocation counter would observe other trials
   /// under the parallel runner and break `--jobs` byte-identity.

@@ -122,7 +122,7 @@ class FaultPlan {
 
   /// Running counts of everything injected; two runs with the same config
   /// and seed must produce identical totals (the fault-schedule
-  /// determinism check bench_faults PASSes on).
+  /// determinism check the faults scenario PASSes on).
   struct Totals {
     std::uint64_t segments_dropped = 0;
     std::uint64_t segments_reordered = 0;

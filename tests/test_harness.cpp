@@ -217,10 +217,15 @@ TEST(MatrixCli, RejectsUnknownStackModel) {
   EXPECT_FALSE(parse({"--stack"}, opt, &err));
 }
 
-TEST(MatrixCli, BarePositionalNumberIsScale) {
+// The scale is only ever `--scale X`: a bare number is an error that says
+// so, and leaves the scale alone.
+TEST(MatrixCli, BarePositionalArgumentIsRejected) {
   MatrixOptions opt;
-  ASSERT_TRUE(parse({"0.3"}, opt));
-  EXPECT_DOUBLE_EQ(opt.scale, 0.3);
+  const double scale = opt.scale;
+  std::string err;
+  EXPECT_FALSE(parse({"0.3"}, opt, &err));
+  EXPECT_NE(err.find("--scale"), std::string::npos) << err;
+  EXPECT_DOUBLE_EQ(opt.scale, scale);
 }
 
 TEST(MatrixCli, RejectsBadInput) {

@@ -8,8 +8,8 @@
 //   - cross-scenario sharing is invisible in the output: fig8's stdout
 //     section and document entry from a table2,fig8 pass (--jobs 1 and 4)
 //     are byte-identical to a fig8-only pass;
-//   - bench_faults' same-seed pair bypasses the memo, so each pair trial
-//     still simulates on its own.
+//   - the faults scenario's same-seed pair bypasses the memo, so each pair
+//     trial still simulates on its own.
 //
 // The real table2, fig8 and faults scenarios are linked into this binary.
 #include <gtest/gtest.h>

@@ -5,10 +5,15 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <queue>
 #include <random>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "sim/rng.hpp"
 
 namespace ktau::sim {
 namespace {
@@ -287,6 +292,234 @@ TEST(Engine, StressMatchesReferenceModel) {
   std::vector<int> expected;
   for (const auto& r : live) expected.push_back(r.tag);
   EXPECT_EQ(engine_order, expected);
+}
+
+// ---------------------------------------------------------------------------
+// Operation mixes against a queue oracle.  Each mix replays one fixed
+// operation sequence through sim::Engine and through OracleEngine — a
+// std::priority_queue on (time, schedule order) plus a cancelled set, the
+// engine's contract with none of its machinery — and every callback logs
+// (now, tag).  The two logs must match entry for entry, so an ordering,
+// tie-break or cancellation difference anywhere in ~20k events fails.
+// ---------------------------------------------------------------------------
+
+class OracleEngine {
+ public:
+  TimeNs now() const { return now_; }
+  std::uint64_t executed() const { return executed_; }
+
+  EventId schedule_at(TimeNs t, std::function<void()> cb) {
+    cbs_.push_back(std::move(cb));
+    const EventId id = cbs_.size();  // ids start at 1: 0 is kNoEvent
+    queue_.push(Entry{std::max(t, now_), id});
+    return id;
+  }
+  EventId schedule_after(TimeNs dt, std::function<void()> cb) {
+    return schedule_at(now_ + dt, std::move(cb));
+  }
+
+  /// Fired, cancelled and never-issued ids are no-ops (a fired event's
+  /// callback has been moved out).
+  void cancel(EventId id) {
+    if (id == kNoEvent || id > cbs_.size() || !cbs_[id - 1]) return;
+    cancelled_.insert(id);
+  }
+
+  bool step() {
+    while (!queue_.empty()) {
+      const Entry top = queue_.top();
+      queue_.pop();
+      std::function<void()> cb = std::move(cbs_[top.id - 1]);
+      cbs_[top.id - 1] = nullptr;
+      if (cancelled_.erase(top.id) != 0) continue;
+      now_ = top.time;
+      ++executed_;
+      cb();
+      return true;
+    }
+    return false;
+  }
+  void run() {
+    while (step()) {
+    }
+  }
+
+ private:
+  struct Entry {
+    TimeNs time;
+    EventId id;  // schedule order: the FIFO tie-break
+  };
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      return a.time != b.time ? a.time > b.time : a.id > b.id;
+    }
+  };
+
+  TimeNs now_ = 0;
+  std::uint64_t executed_ = 0;
+  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
+  std::vector<std::function<void()>> cbs_;  // indexed by id - 1
+  std::unordered_set<EventId> cancelled_;
+};
+
+using ExecLog = std::vector<std::pair<TimeNs, std::uint64_t>>;  // (now, tag)
+
+constexpr std::uint64_t kMixEvents = 20'000;
+
+template <class E>
+void log_exec(E& e, ExecLog& log, std::uint64_t tag) {
+  log.emplace_back(e.now(), tag);
+}
+
+// Uniform one-shots: ~8k in flight at random offsets, dense enough that
+// many land on the same nanosecond and the FIFO tie-break decides.
+template <class E>
+void mix_uniform(E& e, ExecLog& log) {
+  std::uint64_t rng = 0x5EEDu;
+  for (std::uint64_t scheduled = 0; e.executed() < kMixEvents;) {
+    if (scheduled < kMixEvents && scheduled < e.executed() + 8192) {
+      const TimeNs dt = 1 + splitmix64(rng) % 20000;
+      E* ep = &e;
+      ExecLog* lp = &log;
+      e.schedule_after(dt,
+                       [ep, lp, scheduled] { log_exec(*ep, *lp, scheduled); });
+      ++scheduled;
+    } else {
+      e.step();
+    }
+  }
+  e.run();
+}
+
+// A self-rescheduling timer: the tick/daemon-wakeup shape of the simulator.
+template <class E>
+struct Timer {
+  E* e;
+  ExecLog* log;
+  std::uint64_t tag;
+  TimeNs period;
+  void operator()() const {
+    log_exec(*e, *log, tag);
+    if (e->executed() < kMixEvents) e->schedule_after(period, *this);
+  }
+};
+
+// 512 periodic timers, periods spread over ~2 decades.
+template <class E>
+void mix_timers(E& e, ExecLog& log) {
+  for (std::uint64_t i = 0; i < 512; ++i) {
+    const TimeNs period = 100 + 173 * i;
+    e.schedule_after(period, Timer<E>{&e, &log, i, period});
+  }
+  e.run();
+}
+
+// Work/guard pairs: the work event cancels its guard from inside its
+// callback before the guard's (strictly later) deadline — the
+// machine.cpp burst_event pattern.  Guard handles live in a ring of
+// slots, so a late work event can cancel a newer pair's guard and leave
+// its own to fire.
+template <class E>
+void mix_cancel_guards(E& e, ExecLog& log) {
+  std::uint64_t rng = 0xCA9CE1u;
+  std::vector<EventId> guards(4096, kNoEvent);
+  for (std::uint64_t scheduled = 0; e.executed() < kMixEvents;) {
+    if (scheduled < kMixEvents && scheduled < e.executed() + 4096) {
+      const TimeNs dt = 1 + splitmix64(rng) % 10000;
+      EventId* guard = &guards[scheduled % guards.size()];
+      E* ep = &e;
+      ExecLog* lp = &log;
+      *guard = e.schedule_after(dt + 50000, [ep, lp, scheduled] {
+        log_exec(*ep, *lp, 2 * scheduled + 1);
+      });
+      e.schedule_after(dt, [ep, lp, guard, scheduled] {
+        log_exec(*ep, *lp, 2 * scheduled);
+        ep->cancel(*guard);
+      });
+      ++scheduled;
+    } else {
+      e.step();
+    }
+  }
+  e.run();
+}
+
+// The 60/25/15 blend of one-shots, self-rescheduling timers and
+// cancellable work/guard pairs; the guard ring is small enough that a
+// work event may cancel a handle whose event has already been cancelled
+// and whose engine slot has been reused since.
+template <class E>
+void mix_blend(E& e, ExecLog& log) {
+  std::uint64_t rng = 0x313EDu;
+  std::uint64_t timers = 0;
+  std::vector<EventId> guards(2048, kNoEvent);
+  E* ep = &e;
+  ExecLog* lp = &log;
+  for (std::uint64_t scheduled = 0; e.executed() < kMixEvents;) {
+    if (scheduled < kMixEvents && scheduled < e.executed() + 8192) {
+      const std::uint64_t r = splitmix64(rng) % 100;
+      const TimeNs dt = 1 + splitmix64(rng) % 20000;
+      if (r < 60 || (r < 85 && timers == 512)) {
+        e.schedule_after(dt, [ep, lp, scheduled] {
+          log_exec(*ep, *lp, 3 * scheduled);
+        });
+      } else if (r < 85) {
+        ++timers;
+        e.schedule_after(dt, Timer<E>{&e, &log, 3 * scheduled, dt});
+      } else {
+        EventId* guard = &guards[scheduled % guards.size()];
+        *guard = e.schedule_after(dt + 40000, [ep, lp, scheduled] {
+          log_exec(*ep, *lp, 3 * scheduled + 1);
+        });
+        e.schedule_after(dt, [ep, lp, guard, scheduled] {
+          log_exec(*ep, *lp, 3 * scheduled + 2);
+          ep->cancel(*guard);
+        });
+      }
+      ++scheduled;
+    } else {
+      e.step();
+    }
+  }
+  e.run();
+}
+
+template <class Mix>
+void expect_engine_matches_oracle(Mix mix) {
+  Engine engine;
+  OracleEngine oracle;
+  ExecLog got, want;
+  mix(engine, got);
+  mix(oracle, want);
+  ASSERT_GE(want.size(), kMixEvents);
+  const auto diverged = std::mismatch(got.begin(), got.end(), want.begin(),
+                                      want.end());
+  ASSERT_TRUE(diverged.first == got.end() && diverged.second == want.end())
+      << "execution order diverges at event " << (diverged.first - got.begin())
+      << " of " << want.size() << " (engine " << got.size() << " events)";
+  EXPECT_EQ(engine.executed(), oracle.executed());
+  EXPECT_EQ(engine.now(), oracle.now());
+  EXPECT_EQ(engine.pending(), 0u);
+}
+
+TEST(EngineOracle, UniformOneShots) {
+  expect_engine_matches_oracle(
+      [](auto& e, ExecLog& log) { mix_uniform(e, log); });
+}
+
+TEST(EngineOracle, SelfReschedulingTimers) {
+  expect_engine_matches_oracle(
+      [](auto& e, ExecLog& log) { mix_timers(e, log); });
+}
+
+TEST(EngineOracle, CallbacksCancelGuards) {
+  expect_engine_matches_oracle(
+      [](auto& e, ExecLog& log) { mix_cancel_guards(e, log); });
+}
+
+TEST(EngineOracle, MixedTrace) {
+  expect_engine_matches_oracle(
+      [](auto& e, ExecLog& log) { mix_blend(e, log); });
 }
 
 // Oversized captures (> InlineCallback::kInlineSize) must still work via the
